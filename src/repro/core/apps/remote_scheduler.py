@@ -24,7 +24,7 @@ channels.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.apps.base import App
 from repro.core.controller.northbound import NorthboundApi, StatsSubscription
@@ -44,6 +44,33 @@ _ACTIVE_STATES = {
 RESUBSCRIBE_AFTER_TTIS = 500
 """If no stats report lands for this long after subscribing, the
 subscription is assumed lost (lossy control channel) and re-sent."""
+
+
+class InFlight:
+    """One UE's decisions in flight: ``(expire_tti, bytes)`` entries
+    and their running byte total.
+
+    The total is updated on every append and expiry, so reading it costs
+    O(expired entries) instead of a re-sum of the whole queue.
+    """
+
+    __slots__ = ("_entries", "_total")
+
+    def __init__(self) -> None:
+        self._entries: deque = deque()
+        self._total = 0
+
+    def add(self, expire_tti: int, nbytes: int) -> None:
+        self._entries.append((expire_tti, nbytes))
+        self._total += nbytes
+
+    def outstanding(self, now: int) -> int:
+        """Bytes still in flight at *now*, after dropping expired entries
+        from the head of the queue."""
+        entries = self._entries
+        while entries and entries[0][0] <= now:
+            self._total -= entries.popleft()[1]
+        return self._total
 
 
 class RemoteSchedulerApp(App):
@@ -75,8 +102,8 @@ class RemoteSchedulerApp(App):
         self._inflight_ttl_margin = inflight_ttl_margin
         #: agent_id -> (subscription handle, TTI of last (re)assert).
         self._subscribed: Dict[int, Tuple[StatsSubscription, int]] = {}
-        # rnti -> deque of (expire_tti, bytes) decisions in flight.
-        self._inflight: Dict[int, Deque[Tuple[int, int]]] = {}
+        # rnti -> decisions in flight.
+        self._inflight: Dict[int, InFlight] = {}
         self.decisions_sent = 0
 
     # -- setup ------------------------------------------------------------
@@ -146,8 +173,10 @@ class RemoteSchedulerApp(App):
                        + self._inflight_ttl_margin)
                 for a in assignments:
                     bits = transport_block_bits(a.cqi_used, a.n_prb)
-                    self._inflight.setdefault(a.rnti, deque()).append(
-                        (tti + ttl, bits // 8))
+                    inflight = self._inflight.get(a.rnti)
+                    if inflight is None:
+                        inflight = self._inflight[a.rnti] = InFlight()
+                    inflight.add(tti + ttl, bits // 8)
 
     def _build_context(self, cell: CellNode, target: int, now: int,
                        sync_lag: int) -> SchedulingContext:
@@ -186,9 +215,5 @@ class RemoteSchedulerApp(App):
         return grants
 
     def _inflight_bytes(self, rnti: int, now: int) -> int:
-        pending = self._inflight.get(rnti)
-        if not pending:
-            return 0
-        while pending and pending[0][0] <= now:
-            pending.popleft()
-        return sum(b for _, b in pending)
+        inflight = self._inflight.get(rnti)
+        return inflight.outstanding(now) if inflight is not None else 0

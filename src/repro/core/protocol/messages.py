@@ -11,19 +11,22 @@ Each message class declares:
 * ``CATEGORY`` -- the accounting category used for the signaling
   breakdowns of Fig. 7 (agent management / sync / stats reporting /
   master commands);
-* ``encode_payload`` / ``decode_payload`` -- its body serialization.
+* its fields, each once, with :func:`~repro.core.protocol.wire.wire`
+  naming the field's wire kind.  Wire order is declaration order.
 
 All messages share a :class:`Header` (agent id, transaction id, TTI
-stamp).  See :mod:`repro.core.protocol.codec` for framing.
+stamp) as their first field.  :mod:`repro.core.protocol.codec`
+compiles the encoders and decoders from these declarations and frames
+the result.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List
 
-from repro.core.protocol.wire import Reader, Writer
+from repro.core.protocol.wire import wire
 
 
 class Category:
@@ -72,16 +75,9 @@ class EventType(enum.IntEnum):
 class Header:
     """Common message header."""
 
-    agent_id: int = 0
-    xid: int = 0
-    tti: int = 0
-
-    def encode(self, w: Writer) -> None:
-        w.varint(self.agent_id).varint(self.xid).varint(self.tti)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "Header":
-        return cls(agent_id=r.varint(), xid=r.varint(), tti=r.varint())
+    agent_id: int = wire("varint")
+    xid: int = wire("varint")
+    tti: int = wire("varint")
 
 
 @dataclass
@@ -91,14 +87,7 @@ class FlexRanMessage:
     MSG_TYPE: ClassVar[int] = 0
     CATEGORY: ClassVar[str] = Category.AGENT_MANAGEMENT
 
-    header: Header = field(default_factory=Header)
-
-    def encode_payload(self, w: Writer) -> None:  # pragma: no cover - default
-        """Serialize the body; default is an empty payload."""
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "FlexRanMessage":
-        return cls(header=header)
+    header: Header = wire("record", of=Header)
 
 
 # -- agent management ---------------------------------------------------
@@ -110,19 +99,8 @@ class Hello(FlexRanMessage):
 
     MSG_TYPE: ClassVar[int] = 1
 
-    capabilities: List[str] = field(default_factory=list)
-    n_cells: int = 1
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(len(self.capabilities))
-        for cap in self.capabilities:
-            w.string(cap)
-        w.varint(self.n_cells)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "Hello":
-        caps = [r.string() for _ in range(r.varint())]
-        return cls(header=header, capabilities=caps, n_cells=r.varint())
+    capabilities: List[str] = wire("strings")
+    n_cells: int = wire("varint", 1)
 
 
 @dataclass
@@ -145,56 +123,29 @@ class ConfigRequest(FlexRanMessage):
 
     MSG_TYPE: ClassVar[int] = 4
 
-    scope: str = "enb"  # "enb" | "cells" | "ues"
-
-    def encode_payload(self, w: Writer) -> None:
-        w.string(self.scope)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "ConfigRequest":
-        return cls(header=header, scope=r.string())
+    scope: str = wire("string", "enb")  # "enb" | "cells" | "ues"
 
 
 @dataclass
 class CellConfigRep:
     """Cell configuration record inside a ConfigReply."""
 
-    cell_id: int = 0
-    n_prb_dl: int = 50
-    n_prb_ul: int = 50
-    band: int = 5
-    antenna_ports: int = 1
-    transmission_mode: int = 1
-
-    def encode(self, w: Writer) -> None:
-        (w.varint(self.cell_id).varint(self.n_prb_dl).varint(self.n_prb_ul)
-         .varint(self.band).varint(self.antenna_ports)
-         .varint(self.transmission_mode))
-
-    @classmethod
-    def decode(cls, r: Reader) -> "CellConfigRep":
-        return cls(cell_id=r.varint(), n_prb_dl=r.varint(),
-                   n_prb_ul=r.varint(), band=r.varint(),
-                   antenna_ports=r.varint(), transmission_mode=r.varint())
+    cell_id: int = wire("varint")
+    n_prb_dl: int = wire("varint", 50)
+    n_prb_ul: int = wire("varint", 50)
+    band: int = wire("varint", 5)
+    antenna_ports: int = wire("varint", 1)
+    transmission_mode: int = wire("varint", 1)
 
 
 @dataclass
 class UeConfigRep:
     """UE configuration record inside a ConfigReply."""
 
-    rnti: int = 0
-    imsi: str = ""
-    cell_id: int = 0
-    labels: Dict[str, str] = field(default_factory=dict)
-
-    def encode(self, w: Writer) -> None:
-        w.varint(self.rnti).string(self.imsi).varint(self.cell_id)
-        w.str_map(self.labels)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "UeConfigRep":
-        return cls(rnti=r.varint(), imsi=r.string(), cell_id=r.varint(),
-                   labels=r.str_map())
+    rnti: int = wire("varint")
+    imsi: str = wire("string")
+    cell_id: int = wire("varint")
+    labels: Dict[str, str] = wire("str_map")
 
 
 @dataclass
@@ -203,25 +154,9 @@ class ConfigReply(FlexRanMessage):
 
     MSG_TYPE: ClassVar[int] = 5
 
-    enb_id: int = 0
-    cells: List[CellConfigRep] = field(default_factory=list)
-    ues: List[UeConfigRep] = field(default_factory=list)
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.enb_id)
-        w.varint(len(self.cells))
-        for cell in self.cells:
-            cell.encode(w)
-        w.varint(len(self.ues))
-        for ue in self.ues:
-            ue.encode(w)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "ConfigReply":
-        enb_id = r.varint()
-        cells = [CellConfigRep.decode(r) for _ in range(r.varint())]
-        ues = [UeConfigRep.decode(r) for _ in range(r.varint())]
-        return cls(header=header, enb_id=enb_id, cells=cells, ues=ues)
+    enb_id: int = wire("varint")
+    cells: List[CellConfigRep] = wire("records", of=CellConfigRep)
+    ues: List[UeConfigRep] = wire("records", of=UeConfigRep)
 
 
 @dataclass
@@ -230,17 +165,9 @@ class StatsRequest(FlexRanMessage):
 
     MSG_TYPE: ClassVar[int] = 7
 
-    report_type: int = int(ReportType.ONE_OFF)
-    period_ttis: int = 1
-    flags: int = int(StatsFlags.FULL)
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.report_type).varint(self.period_ttis).varint(self.flags)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "StatsRequest":
-        return cls(header=header, report_type=r.varint(),
-                   period_ttis=r.varint(), flags=r.varint())
+    report_type: int = wire("varint", int(ReportType.ONE_OFF))
+    period_ttis: int = wire("varint", 1)
+    flags: int = wire("varint", int(StatsFlags.FULL))
 
 
 # -- statistics reporting -----------------------------------------------
@@ -255,89 +182,40 @@ class UeStatsReport:
     HARQ process states, RLC/PDCP counters and power headroom.
     """
 
-    rnti: int = 0
-    queues: Dict[int, int] = field(default_factory=dict)
-    wb_cqi: int = 0
-    wb_cqi_clear: int = 0
-    subband_cqi: List[int] = field(default_factory=list)
-    subband_sinr_db_x10: List[int] = field(default_factory=list)
-    harq_states: List[int] = field(default_factory=list)
-    ul_buffer_bytes: int = 0
-    power_headroom_db: int = 0
-    rlc_bytes_in: int = 0
-    rlc_bytes_out: int = 0
-    pdcp_tx_bytes: int = 0
-    pdcp_rx_bytes: int = 0
-    rx_bytes_total: int = 0
-    rrc_state: int = 0
-    neighbor_cqi: Dict[int, int] = field(default_factory=dict)
-
-    def encode(self, w: Writer) -> None:
-        w.varint(self.rnti)
-        w.int_map(self.queues)
-        w.byte(self.wb_cqi).byte(self.wb_cqi_clear)
-        w.varint_list(self.subband_cqi)
-        w.svarint_list(self.subband_sinr_db_x10)
-        w.varint_list(self.harq_states)
-        w.varint(self.ul_buffer_bytes)
-        w.varint(self.power_headroom_db)
-        w.varint(self.rlc_bytes_in).varint(self.rlc_bytes_out)
-        w.varint(self.pdcp_tx_bytes).varint(self.pdcp_rx_bytes)
-        w.varint(self.rx_bytes_total)
-        w.byte(self.rrc_state)
-        w.int_map(self.neighbor_cqi)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "UeStatsReport":
-        # Hottest decode in the system (one per UE per report): bypass
-        # the generated dataclass __init__ (16 keyword bindings) and
-        # assign the instance dict directly.  Dict-literal values are
-        # evaluated in order, preserving the wire field sequence.
-        rep = cls.__new__(cls)
-        rep.__dict__ = {
-            "rnti": r.varint(), "queues": r.int_map(), "wb_cqi": r.byte(),
-            "wb_cqi_clear": r.byte(), "subband_cqi": r.varint_list(),
-            "subband_sinr_db_x10": r.svarint_list(),
-            "harq_states": r.varint_list(), "ul_buffer_bytes": r.varint(),
-            "power_headroom_db": r.varint(), "rlc_bytes_in": r.varint(),
-            "rlc_bytes_out": r.varint(), "pdcp_tx_bytes": r.varint(),
-            "pdcp_rx_bytes": r.varint(), "rx_bytes_total": r.varint(),
-            "rrc_state": r.byte(), "neighbor_cqi": r.int_map()}
-        return rep
+    rnti: int = wire("varint")
+    queues: Dict[int, int] = wire("int_map")
+    wb_cqi: int = wire("byte")
+    wb_cqi_clear: int = wire("byte")
+    subband_cqi: List[int] = wire("uints")
+    subband_sinr_db_x10: List[int] = wire("sints")
+    harq_states: List[int] = wire("uints")
+    ul_buffer_bytes: int = wire("varint")
+    power_headroom_db: int = wire("varint")
+    rlc_bytes_in: int = wire("varint")
+    rlc_bytes_out: int = wire("varint")
+    pdcp_tx_bytes: int = wire("varint")
+    pdcp_rx_bytes: int = wire("varint")
+    rx_bytes_total: int = wire("varint")
+    rrc_state: int = wire("byte")
+    neighbor_cqi: Dict[int, int] = wire("int_map")
 
 
 @dataclass
 class CellStatsReport:
     """Per-cell aggregate statistics record."""
 
-    cell_id: int = 0
-    n_prb: int = 0
-    connected_ues: int = 0
-    tb_ok: int = 0
-    tb_err: int = 0
-    dl_bytes: int = 0
-    noise_interference_per_prb_x10: List[int] = field(default_factory=list)
+    cell_id: int = wire("varint")
+    n_prb: int = wire("varint")
+    connected_ues: int = wire("varint")
+    tb_ok: int = wire("varint")
+    tb_err: int = wire("varint")
+    dl_bytes: int = wire("varint")
+    noise_interference_per_prb_x10: List[int] = wire("sints")
     # Cell-wide air-interface occupancy, reported per PRB each TTI as
     # OAI's agent does; fixed-size content that amortizes over UEs and
     # contributes to Fig. 7a's sublinear growth.
-    dl_prb_occupancy: List[int] = field(default_factory=list)
-    ul_prb_occupancy: List[int] = field(default_factory=list)
-
-    def encode(self, w: Writer) -> None:
-        (w.varint(self.cell_id).varint(self.n_prb).varint(self.connected_ues)
-         .varint(self.tb_ok).varint(self.tb_err).varint(self.dl_bytes))
-        w.svarint_list(self.noise_interference_per_prb_x10)
-        w.varint_list(self.dl_prb_occupancy)
-        w.varint_list(self.ul_prb_occupancy)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "CellStatsReport":
-        return cls(cell_id=r.varint(), n_prb=r.varint(),
-                   connected_ues=r.varint(), tb_ok=r.varint(),
-                   tb_err=r.varint(), dl_bytes=r.varint(),
-                   noise_interference_per_prb_x10=r.svarint_list(),
-                   dl_prb_occupancy=r.varint_list(),
-                   ul_prb_occupancy=r.varint_list())
+    dl_prb_occupancy: List[int] = wire("uints")
+    ul_prb_occupancy: List[int] = wire("uints")
 
 
 @dataclass
@@ -353,33 +231,14 @@ class StatsReply(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 8
     CATEGORY: ClassVar[str] = Category.STATS
 
-    report_type: int = int(ReportType.PERIODIC)
+    report_type: int = wire("byte", int(ReportType.PERIODIC))
     #: 1 when ``ue_reports`` covers every attached UE; 0 for a delta
     #: reply that carries only the UEs whose reportable state changed
     #: since the subscription's previous reply.  Cell reports are
     #: always complete either way.
-    full: int = 1
-    ue_reports: List[UeStatsReport] = field(default_factory=list)
-    cell_reports: List[CellStatsReport] = field(default_factory=list)
-
-    def encode_payload(self, w: Writer) -> None:
-        w.byte(self.report_type)
-        w.byte(self.full)
-        w.varint(len(self.ue_reports))
-        for rep in self.ue_reports:
-            rep.encode(w)
-        w.varint(len(self.cell_reports))
-        for rep in self.cell_reports:
-            rep.encode(w)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "StatsReply":
-        report_type = r.byte()
-        full = r.byte()
-        ues = [UeStatsReport.decode(r) for _ in range(r.varint())]
-        cells = [CellStatsReport.decode(r) for _ in range(r.varint())]
-        return cls(header=header, report_type=report_type, full=full,
-                   ue_reports=ues, cell_reports=cells)
+    full: int = wire("byte", 1)
+    ue_reports: List[UeStatsReport] = wire("records", of=UeStatsReport)
+    cell_reports: List[CellStatsReport] = wire("records", of=CellStatsReport)
 
 
 # -- synchronization ----------------------------------------------------
@@ -397,15 +256,8 @@ class SubframeTrigger(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 9
     CATEGORY: ClassVar[str] = Category.SYNC
 
-    sfn: int = 0
-    sf: int = 0
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.sfn).byte(self.sf)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "SubframeTrigger":
-        return cls(header=header, sfn=r.varint(), sf=r.byte())
+    sfn: int = wire("varint")
+    sf: int = wire("byte")
 
 
 # -- event triggers -----------------------------------------------------
@@ -417,19 +269,10 @@ class EventNotification(FlexRanMessage):
 
     MSG_TYPE: ClassVar[int] = 10
 
-    event_type: int = int(EventType.UE_ATTACH)
-    rnti: int = 0
-    cell_id: int = 0
-    details: Dict[str, str] = field(default_factory=dict)
-
-    def encode_payload(self, w: Writer) -> None:
-        w.byte(self.event_type).varint(self.rnti).varint(self.cell_id)
-        w.str_map(self.details)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "EventNotification":
-        return cls(header=header, event_type=r.byte(), rnti=r.varint(),
-                   cell_id=r.varint(), details=r.str_map())
+    event_type: int = wire("byte", int(EventType.UE_ATTACH))
+    rnti: int = wire("varint")
+    cell_id: int = wire("varint")
+    details: Dict[str, str] = wire("str_map")
 
 
 # -- commands -----------------------------------------------------------
@@ -439,16 +282,9 @@ class EventNotification(FlexRanMessage):
 class DciSpec:
     """Wire form of one downlink scheduling decision."""
 
-    rnti: int = 0
-    n_prb: int = 0
-    cqi_used: int = 0
-
-    def encode(self, w: Writer) -> None:
-        w.varint(self.rnti).varint(self.n_prb).byte(self.cqi_used)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "DciSpec":
-        return cls(rnti=r.varint(), n_prb=r.varint(), cqi_used=r.byte())
+    rnti: int = wire("varint")
+    n_prb: int = wire("varint")
+    cqi_used: int = wire("byte")
 
 
 @dataclass
@@ -458,23 +294,9 @@ class DlMacCommand(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 11
     CATEGORY: ClassVar[str] = Category.COMMANDS
 
-    cell_id: int = 0
-    target_tti: int = 0
-    assignments: List[DciSpec] = field(default_factory=list)
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.cell_id).varint(self.target_tti)
-        w.varint(len(self.assignments))
-        for dci in self.assignments:
-            dci.encode(w)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "DlMacCommand":
-        cell_id = r.varint()
-        target = r.varint()
-        dcis = [DciSpec.decode(r) for _ in range(r.varint())]
-        return cls(header=header, cell_id=cell_id, target_tti=target,
-                   assignments=dcis)
+    cell_id: int = wire("varint")
+    target_tti: int = wire("varint")
+    assignments: List[DciSpec] = wire("records", of=DciSpec)
 
 
 @dataclass
@@ -484,23 +306,9 @@ class UlMacCommand(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 17
     CATEGORY: ClassVar[str] = Category.COMMANDS
 
-    cell_id: int = 0
-    target_tti: int = 0
-    grants: List[DciSpec] = field(default_factory=list)
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.cell_id).varint(self.target_tti)
-        w.varint(len(self.grants))
-        for grant in self.grants:
-            grant.encode(w)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "UlMacCommand":
-        cell_id = r.varint()
-        target = r.varint()
-        grants = [DciSpec.decode(r) for _ in range(r.varint())]
-        return cls(header=header, cell_id=cell_id, target_tti=target,
-                   grants=grants)
+    cell_id: int = wire("varint")
+    target_tti: int = wire("varint")
+    grants: List[DciSpec] = wire("records", of=DciSpec)
 
 
 @dataclass
@@ -510,17 +318,9 @@ class HandoverCommand(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 12
     CATEGORY: ClassVar[str] = Category.COMMANDS
 
-    rnti: int = 0
-    source_cell: int = 0
-    target_cell: int = 0
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.rnti).varint(self.source_cell).varint(self.target_cell)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "HandoverCommand":
-        return cls(header=header, rnti=r.varint(), source_cell=r.varint(),
-                   target_cell=r.varint())
+    rnti: int = wire("varint")
+    source_cell: int = wire("varint")
+    target_cell: int = wire("varint")
 
 
 # -- control delegation -------------------------------------------------
@@ -538,19 +338,10 @@ class VsfUpdate(FlexRanMessage):
 
     MSG_TYPE: ClassVar[int] = 13
 
-    module: str = ""
-    operation: str = ""
-    name: str = ""
-    blob: bytes = b""
-
-    def encode_payload(self, w: Writer) -> None:
-        w.string(self.module).string(self.operation).string(self.name)
-        w.blob(self.blob)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "VsfUpdate":
-        return cls(header=header, module=r.string(), operation=r.string(),
-                   name=r.string(), blob=r.blob())
+    module: str = wire("string")
+    operation: str = wire("string")
+    name: str = wire("string")
+    blob: bytes = wire("blob")
 
 
 @dataclass
@@ -559,14 +350,7 @@ class PolicyReconfiguration(FlexRanMessage):
 
     MSG_TYPE: ClassVar[int] = 14
 
-    text: str = ""
-
-    def encode_payload(self, w: Writer) -> None:
-        w.string(self.text)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "PolicyReconfiguration":
-        return cls(header=header, text=r.string())
+    text: str = wire("string")
 
 
 @dataclass
@@ -579,19 +363,10 @@ class DrxCommand(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 15
     CATEGORY: ClassVar[str] = Category.COMMANDS
 
-    rnti: int = 0
-    cycle_ttis: int = 0
-    on_duration_ttis: int = 0
-    inactivity_ttis: int = 0
-
-    def encode_payload(self, w: Writer) -> None:
-        (w.varint(self.rnti).varint(self.cycle_ttis)
-         .varint(self.on_duration_ttis).varint(self.inactivity_ttis))
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "DrxCommand":
-        return cls(header=header, rnti=r.varint(), cycle_ttis=r.varint(),
-                   on_duration_ttis=r.varint(), inactivity_ttis=r.varint())
+    rnti: int = wire("varint")
+    cycle_ttis: int = wire("varint")
+    on_duration_ttis: int = wire("varint")
+    inactivity_ttis: int = wire("varint")
 
 
 @dataclass
@@ -601,18 +376,9 @@ class CaCommand(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 16
     CATEGORY: ClassVar[str] = Category.COMMANDS
 
-    rnti: int = 0
-    scell_id: int = 0
-    activate: bool = True
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.rnti).varint(self.scell_id)
-        w.byte(1 if self.activate else 0)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "CaCommand":
-        return cls(header=header, rnti=r.varint(), scell_id=r.varint(),
-                   activate=bool(r.byte()))
+    rnti: int = wire("varint")
+    scell_id: int = wire("varint")
+    activate: bool = wire("bool", True)
 
 
 # -- typed configuration commands ---------------------------------------
@@ -632,17 +398,8 @@ class AbsPatternConfig(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 18
     CATEGORY: ClassVar[str] = Category.COMMANDS
 
-    cell_id: int = 0
-    subframes: List[int] = field(default_factory=list)
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.cell_id)
-        w.varint_list(self.subframes)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "AbsPatternConfig":
-        return cls(header=header, cell_id=r.varint(),
-                   subframes=r.varint_list())
+    cell_id: int = wire("varint")
+    subframes: List[int] = wire("uints")
 
 
 @dataclass
@@ -656,19 +413,10 @@ class BearerQosConfig(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 19
     CATEGORY: ClassVar[str] = Category.COMMANDS
 
-    rnti: int = 0
-    lcid: int = 0
-    qci: int = 9
-    gbr_kbps: int = 0
-
-    def encode_payload(self, w: Writer) -> None:
-        (w.varint(self.rnti).varint(self.lcid).varint(self.qci)
-         .varint(self.gbr_kbps))
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "BearerQosConfig":
-        return cls(header=header, rnti=r.varint(), lcid=r.varint(),
-                   qci=r.varint(), gbr_kbps=r.varint())
+    rnti: int = wire("varint")
+    lcid: int = wire("varint")
+    qci: int = wire("varint", 9)
+    gbr_kbps: int = wire("varint")
 
 
 @dataclass
@@ -678,14 +426,7 @@ class SyncConfig(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 20
     CATEGORY: ClassVar[str] = Category.COMMANDS
 
-    enabled: bool = True
-
-    def encode_payload(self, w: Writer) -> None:
-        w.byte(1 if self.enabled else 0)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "SyncConfig":
-        return cls(header=header, enabled=bool(r.byte()))
+    enabled: bool = wire("bool", True)
 
 
 @dataclass
@@ -701,18 +442,9 @@ class PrbCapConfig(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 21
     CATEGORY: ClassVar[str] = Category.COMMANDS
 
-    cell_id: int = 0
-    capped: bool = False
-    n_prb: int = 0
-
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.cell_id).byte(1 if self.capped else 0)
-        w.varint(self.n_prb)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "PrbCapConfig":
-        return cls(header=header, cell_id=r.varint(),
-                   capped=bool(r.byte()), n_prb=r.varint())
+    cell_id: int = wire("varint")
+    capped: bool = wire("bool")
+    n_prb: int = wire("varint")
 
 
 MESSAGE_TYPES = {

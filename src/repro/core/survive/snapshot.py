@@ -30,13 +30,13 @@ from repro.core.controller.rib import (
     Rib,
     UeNode,
 )
+from repro.core.protocol import codec
 from repro.core.protocol.messages import (
     CellConfigRep,
     CellStatsReport,
     UeConfigRep,
     UeStatsReport,
 )
-from repro.core.protocol.wire import Reader, Writer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller.master import MasterController
@@ -48,15 +48,13 @@ def _enc(record) -> Optional[str]:
     """Wire-encode one report record as a hex string (None passes)."""
     if record is None:
         return None
-    w = Writer()
-    record.encode(w)
-    return w.getvalue().hex()
+    return codec.encode_record(record).hex()
 
 
 def _dec(cls, data: Optional[str]):
     if data is None:
         return None
-    return cls.decode(Reader(bytes.fromhex(data)))
+    return codec.decode_record(cls, bytes.fromhex(data))
 
 
 # -- the forest -------------------------------------------------------------

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.protocol import codec
-from repro.core.protocol.errors import DecodeError, UnknownMessageType
+from repro.core.protocol.errors import (
+    DecodeError,
+    EncodeError,
+    UnknownMessageType,
+)
 from repro.core.protocol.messages import (
     MESSAGE_TYPES,
     AbsPatternConfig,
@@ -118,6 +122,55 @@ def test_trailing_garbage_rejected():
     frame = codec.encode(EchoReply()) + b"\x00"
     with pytest.raises(DecodeError):
         codec.decode(frame)
+
+
+def test_overlong_varint_rejected():
+    # EchoReply whose agent id runs 11 continuation-marked bytes.
+    with pytest.raises(DecodeError, match="longer than 10 bytes"):
+        codec.decode(bytes([3]) + b"\x80" * 10 + b"\x01\x00\x00")
+    # Ten bytes is the limit and still decodes.
+    frame = bytes([3]) + b"\xff" * 9 + b"\x7f\x00\x00"
+    assert codec.decode(frame).header.agent_id == 2 ** 70 - 1
+
+
+@pytest.mark.parametrize("message", EXAMPLES,
+                         ids=lambda m: type(m).__name__)
+def test_every_truncation_is_a_decode_error(message):
+    frame = codec.encode(message)
+    for cut in range(1, len(frame)):
+        with pytest.raises(DecodeError):
+            codec.decode(frame[:cut])
+
+
+def test_out_of_range_fields_raise_encode_error():
+    with pytest.raises(EncodeError):
+        codec.encode(EchoReply(header=Header(xid=-1)))
+    with pytest.raises(EncodeError):
+        codec.encode(EchoReply(header=Header(tti=2 ** 70)))
+    with pytest.raises(EncodeError):
+        codec.encode(SubframeTrigger(sf=256))
+    with pytest.raises(EncodeError):
+        codec.encode(StatsReply(ue_reports=[
+            UeStatsReport(subband_sinr_db_x10=[1, -(2 ** 69) - 1])]))
+
+
+def test_unregistered_class_rejected():
+    class Private(EchoReply):
+        pass
+    with pytest.raises(EncodeError):
+        codec.encode(Private())
+
+
+def test_record_roundtrip():
+    record = UeStatsReport(rnti=70, queues={3: 5000, 1: 2},
+                           subband_sinr_db_x10=[-1050] * 13,
+                           rx_bytes_total=2 ** 40)
+    data = codec.encode_record(record)
+    assert codec.decode_record(UeStatsReport, data) == record
+    with pytest.raises(DecodeError):
+        codec.decode_record(UeStatsReport, data + b"\x00")
+    with pytest.raises(DecodeError):
+        codec.decode_record(UeStatsReport, data[:-1])
 
 
 def test_aggregation_is_sublinear():

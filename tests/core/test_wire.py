@@ -65,14 +65,25 @@ class TestCompound:
         w.blob(data)
         assert Reader(w.getvalue()).blob() == data
 
-    @given(st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=50))
+    @given(st.one_of(
+        st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=50),
+        # Uniform 2-byte lists and constant runs take the bulk paths.
+        st.lists(st.integers(min_value=128, max_value=16383), max_size=50),
+        st.builds(lambda v, n: [v] * n,
+                  st.integers(min_value=0, max_value=2 ** 40),
+                  st.integers(min_value=1, max_value=50))))
     def test_varint_list_roundtrip(self, values):
         w = Writer()
         w.varint_list(values)
         assert Reader(w.getvalue()).varint_list() == values
 
-    @given(st.lists(st.integers(min_value=-10 ** 9, max_value=10 ** 9),
-                    max_size=50))
+    @given(st.one_of(
+        st.lists(st.integers(min_value=-10 ** 9, max_value=10 ** 9),
+                 max_size=50),
+        st.lists(st.integers(min_value=-8192, max_value=8191), max_size=50),
+        st.builds(lambda v, n: [v] * n,
+                  st.integers(min_value=-10 ** 9, max_value=10 ** 9),
+                  st.integers(min_value=1, max_value=50))))
     def test_svarint_list_roundtrip(self, values):
         w = Writer()
         w.svarint_list(values)

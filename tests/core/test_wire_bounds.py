@@ -16,12 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.protocol.errors import DecodeError, EncodeError
-from repro.core.protocol.wire import (
-    CountingWriter,
-    Reader,
-    Writer,
-    varint_size,
-)
+from repro.core.protocol.wire import Reader, Writer, varint_size
 
 VARINT_MAX = 2 ** 70 - 1        # largest value a 10-byte varint carries
 SVARINT_MIN = -(2 ** 69)
@@ -52,8 +47,6 @@ class TestSvarintWidthSafety:
     def test_out_of_range_raises_encode_error(self, value):
         with pytest.raises(EncodeError):
             Writer().svarint(value)
-        with pytest.raises(EncodeError):
-            CountingWriter().svarint(value)
 
     def test_decoder_range_mirrors_encoder(self):
         """Every decodable zigzag value is inside the encodable range."""
@@ -80,8 +73,6 @@ class TestVarintEncodeBound:
         # Pre-fix this emitted an 11+ byte encoding the Reader rejected.
         with pytest.raises(EncodeError):
             Writer().varint(value)
-        with pytest.raises(EncodeError):
-            CountingWriter().varint(value)
         with pytest.raises(EncodeError):
             varint_size(value)
 
@@ -110,36 +101,3 @@ class TestStringDecodeErrors:
             Reader(w.getvalue()).string()
         except DecodeError:
             pass  # typed failure is the contract; any other raise fails
-
-
-class TestCountingWriter:
-    """The size fast path must agree with real encoding, byte for byte."""
-
-    @given(st.integers(min_value=0, max_value=VARINT_MAX),
-           st.integers(min_value=SVARINT_MIN, max_value=SVARINT_MAX),
-           st.text(max_size=40), st.binary(max_size=40),
-           st.lists(st.integers(min_value=0, max_value=2 ** 40),
-                    max_size=10),
-           st.dictionaries(st.integers(min_value=0, max_value=2 ** 20),
-                           st.integers(min_value=0, max_value=2 ** 20),
-                           max_size=8))
-    def test_counts_match_writer(self, uv, sv, text, blob, ints, imap):
-        w, c = Writer(), CountingWriter()
-        for sink in (w, c):
-            (sink.varint(uv).svarint(sv).string(text).blob(blob)
-             .varint_list(ints).svarint_list([-v for v in ints])
-             .int_map(imap).byte(7)
-             .str_map({text[:8]: text[8:16]} if text else {}))
-        assert c.size == len(w.getvalue())
-        assert len(c) == len(w)
-
-    def test_reset_reuses_cleanly(self):
-        w = Writer()
-        w.varint(300).string("abc")
-        first = w.getvalue()
-        w.reset().varint(300).string("abc")
-        assert w.getvalue() == first
-        c = CountingWriter()
-        c.varint(300).string("abc")
-        size = c.size
-        assert c.reset().varint(300).string("abc").size == size

@@ -1,5 +1,8 @@
 """Tests for the radio channel models."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,6 +95,32 @@ class TestGaussMarkov:
     def test_zero_sigma_converges_to_mean(self):
         ch = GaussMarkovSinr(10.0, sigma_db=0.0, reversion=0.5, seed=0)
         assert ch.sinr_db(200) == pytest.approx(10.0, abs=1e-6)
+
+    @pytest.mark.parametrize("sigma_db,reversion,seed", [
+        (2.0, 0.05, 0), (2.0, 0.05, [7, 3, 41]), (0.0, 0.5, 1),
+        (5.0, 1.0, 9)])
+    def test_block_draws_match_scalar_draws(self, sigma_db, reversion, seed):
+        """Drawing innovations in blocks reproduces, bit for bit, the
+        walk driven by one scalar ``rng.normal`` per TTI."""
+        mean = 12.0
+        rng = np.random.default_rng(seed)
+        value, expected = mean, []
+        for _ in range(500):
+            value += (reversion * (mean - value)
+                      + rng.normal(0.0, sigma_db * math.sqrt(reversion)))
+            expected.append(value)
+        ch = GaussMarkovSinr(mean, sigma_db=sigma_db, reversion=reversion,
+                             seed=seed)
+        got = []
+        for t in range(500):
+            got.append(ch.sinr_db(t))
+            # A repeated query at the same TTI draws nothing new.
+            assert ch.sinr_db(t) == got[-1]
+        assert got == expected
+        # Skipping ahead advances the walk through every missed TTI.
+        ch2 = GaussMarkovSinr(mean, sigma_db=sigma_db, reversion=reversion,
+                              seed=seed)
+        assert [ch2.sinr_db(t) for t in range(0, 500, 7)] == expected[::7]
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
