@@ -59,12 +59,9 @@ from repro.net.tcp import TcpEndpoint, TcpHub, TcpTransportServer
 
 logger = logging.getLogger(__name__)
 
-DRAIN_TTIS = 4
-"""Extra master ticks after all workers finish, so reports still in
-the kernel's sockets get applied before the run is scored."""
-
-DRAIN_SETTLE_S = 0.05
-"""Grace period for in-flight TCP data before the drain ticks."""
+QUIESCE_TIMEOUT_S = 10.0
+"""How long the master waits for frames a finished worker reported
+sent before it gives up and raises with the count mismatch."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +130,8 @@ class _ShardHandle:
         self.ready = False
         self.quarantined = False
         self.busy_s = 0.0
+        #: Frames each agent sent over TCP, as reported with ``done``.
+        self.sent_frames: Dict[int, int] = {}
 
 
 class ClusterRuntime:
@@ -271,12 +270,7 @@ class ClusterRuntime:
                 break
             if not worked:
                 time.sleep(0.0002)
-        # Let the last reports cross the kernel, then drain them.
-        time.sleep(DRAIN_SETTLE_S)
-        self._adopt_pending()
-        for _ in range(DRAIN_TTIS):
-            self.master.tick(self.master_tti)
-            self.master_tti += 1
+        self._quiesce()
         wall_s = time.perf_counter() - started
         return ClusterReport(
             workers=config.workers, n_enbs=config.n_enbs,
@@ -296,6 +290,38 @@ class ClusterRuntime:
             failures=[f.to_dict() for f in self.supervisor.failures],
             respawn_latency_s=list(self.supervisor.respawn_latency_s),
             stall_seconds=round(self.supervisor.stall_seconds, 3))
+
+    def _quiesce(self) -> None:
+        """Wait for every frame the finished workers reported sent,
+        then tick once: each was sent at a TTI below the master's
+        clock, so that tick applies them all before the RIB is scored.
+        """
+        deadline = time.monotonic() + QUIESCE_TIMEOUT_S
+        owed = {agent_id: sent
+                for handle in self._handles.values()
+                if handle.done and not handle.quarantined
+                for agent_id, sent in handle.sent_frames.items()}
+        while True:
+            self._adopt_pending()
+            endpoints = self.master.agent_endpoints()
+            missing = sorted(set(owed) - set(endpoints))
+            if not missing:
+                break
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"cluster quiesce: agents {missing} never connected")
+            time.sleep(0.001)
+        for agent_id, sent in sorted(owed.items()):
+            endpoints[agent_id].wait_parsed(
+                sent, timeout=deadline - time.monotonic())
+        self.master.tick(self.master_tti)
+        self.master_tti += 1
+        short = [f"agent {agent_id}: {endpoints[agent_id].received_messages}"
+                 f"/{sent}" for agent_id, sent in sorted(owed.items())
+                 if endpoints[agent_id].received_messages < sent]
+        if short:
+            raise RuntimeError(
+                f"cluster quiesce: frames parsed but not applied: {short}")
 
     def _wait_fleet_ready(self, *, timeout: float = 120.0) -> None:
         """Block until every worker is built and every agent adopted."""
@@ -327,8 +353,16 @@ class ClusterRuntime:
         handle = self._handles[shard_id]
         if handle.quarantined:
             return
+        # The grant carries the frames the master has sent each of the
+        # shard's agents so far: the worker runs the granted TTIs only
+        # after those frames arrived, so a command or subscription
+        # always lands before the agent's clock runs past it.
+        endpoints = self.master.agent_endpoints()
+        sent = {agent_id: endpoints[agent_id].frames_dispatched
+                for agent_id in handle.spec.agent_ids
+                if agent_id in endpoints}
         try:
-            handle.pipe.send(("grant", grant))
+            handle.pipe.send(("grant", grant, sent))
         except (OSError, BrokenPipeError):
             # A broken grant pipe is a failure signal, not log noise:
             # feed the supervisor so the shard is healed or quarantined.
@@ -393,6 +427,7 @@ class ClusterRuntime:
                     self._note_low_water()
                 elif kind == "done":
                     self.credits.report(shard_id, int(message[1]))
+                    handle.sent_frames = dict(message[2])
                     handle.done = True
                     self.supervisor.note_activity(shard_id)
                     self._note_low_water()
@@ -477,9 +512,7 @@ class ClusterRuntime:
             if sid == shard_id:
                 self._send_grant(sid, grant)
         self.respawns += 1
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("cluster.respawns").inc()
+        _obs.get().registry.counter("cluster.respawns").inc()
         logger.warning("cluster: respawned shard %d (agents %s)",
                        shard_id, list(spec.agent_ids))
         return merged

@@ -169,10 +169,9 @@ class ShardSupervisor:
             attempt=attempt,
             action="respawn" if respawn else "quarantine")
         self.failures.append(failure)
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("cluster.failures").inc()
-            ob.registry.counter("cluster.failures." + cause).inc()
+        registry = _obs.get().registry
+        registry.counter("cluster.failures").inc()
+        registry.counter("cluster.failures." + cause).inc()
         logger.warning(
             "cluster: shard %d failed (%s: %s) -> %s",
             shard_id, cause, detail, failure.action)
@@ -225,10 +224,8 @@ class ShardSupervisor:
             silent_s = now - self._last_activity.get(shard_id, now)
             if silent_s > self.policy.stall_timeout_s:
                 self.stall_seconds += silent_s
-                ob = _obs.get()
-                if ob.enabled:
-                    ob.registry.gauge(
-                        "cluster.stall.seconds").add(silent_s)
+                _obs.get().registry.gauge("cluster.stall.seconds").add(
+                    silent_s)
                 headroom = (credits.granted(shard_id)
                             - credits.progress(shard_id))
                 worked |= self.note_failure(
@@ -249,20 +246,16 @@ class ShardSupervisor:
             self._attempts[shard_id] = self._attempts.get(shard_id, 0) + 1
             self.respawn_latency_s.append(latency_s)
             self.note_activity(shard_id)
-            ob = _obs.get()
-            if ob.enabled:
-                ob.registry.histogram(
-                    "cluster.respawn.latency_ms").observe(latency_s * 1e3)
+            _obs.get().registry.histogram(
+                "cluster.respawn.latency_ms").observe(latency_s * 1e3)
             worked = True
         return worked
 
     def _quarantine(self, shard_id: int) -> None:
         self.quarantined.add(shard_id)
         self.runtime.quarantine_shard(shard_id)
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.gauge("cluster.shards.degraded").set(
-                len(self.quarantined))
+        _obs.get().registry.gauge("cluster.shards.degraded").set(
+            len(self.quarantined))
 
     # -- diagnostics -------------------------------------------------------
 

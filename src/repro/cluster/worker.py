@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.cluster.partition import ShardSpec
+from repro.net.tcp import TransportClosed
 
 PROGRESS_CHUNK_TTIS = 8
 """How many TTIs a worker runs between progress reports."""
@@ -84,46 +85,64 @@ def build_shard_sim(spec: WorkerSpec, hub=None):
     return sim, hub, endpoints
 
 
+class _Control:
+    """The worker's view of the control pipe: credit, stop, and the
+    frames the master had sent each agent when it last granted."""
+
+    def __init__(self) -> None:
+        self.granted = 0
+        self.stop = False
+        self.dl_frames: Dict[int, int] = {}
+
+    def apply(self, message) -> None:
+        if message[0] == "grant":
+            self.granted = max(self.granted, int(message[1]))
+            self.dl_frames.update(message[2])
+        elif message[0] == "stall":
+            # Chaos hook: go silent (no progress reports) for the
+            # scripted window -- exercises the master-side stall
+            # watchdog against a live-but-wedged worker.
+            time.sleep(float(message[1]))
+        elif message[0] == "stop":
+            self.stop = True
+
+
 def worker_main(spec: WorkerSpec, pipe) -> None:
     """Spawn target: build the shard, then run the credit loop."""
     hub = None
     try:
         sim, hub, endpoints = build_shard_sim(spec)
         pipe.send(("ready", spec.shard.shard_id))
-        granted = 0
+        agents = list(zip(spec.shard.agent_ids, endpoints))
+        control = _Control()
         done = 0
-        stop = False
-        while done < spec.total_ttis and not stop:
-            while granted <= done and not stop:
-                message = pipe.recv()  # blocks: out of credit
-                if message[0] == "grant":
-                    granted = max(granted, int(message[1]))
-                elif message[0] == "stall":
-                    # Chaos hook: go silent (no progress reports) for
-                    # the scripted window -- exercises the master-side
-                    # stall watchdog against a live-but-wedged worker.
-                    time.sleep(float(message[1]))
-                elif message[0] == "stop":
-                    stop = True
-            if stop:
+        while done < spec.total_ttis and not control.stop:
+            while control.granted <= done and not control.stop:
+                control.apply(pipe.recv())  # blocks: out of credit
+            if control.stop:
                 break
-            step = min(granted, spec.total_ttis) - done
+            # Run granted TTIs only after the frames sent before the grant.
+            for agent_id, endpoint in agents:
+                endpoint.wait_parsed(control.dl_frames.get(agent_id, 0))
+            step = min(control.granted, spec.total_ttis) - done
             step = min(step, spec.report_chunk)
             started = time.perf_counter()
             sim.run(step)
             elapsed = time.perf_counter() - started
+            lost = [agent_id for agent_id, endpoint in agents
+                    if not endpoint.connected]
+            if lost:
+                raise TransportClosed(f"data plane lost for agents {lost}")
             done += step
             while pipe.poll():  # drain grants that arrived meanwhile
-                message = pipe.recv()
-                if message[0] == "grant":
-                    granted = max(granted, int(message[1]))
-                elif message[0] == "stall":
-                    time.sleep(float(message[1]))
-                elif message[0] == "stop":
-                    stop = True
+                control.apply(pipe.recv())
             pipe.send(("progress", done, elapsed))
-        if not stop:
-            pipe.send(("done", done))
+        if not control.stop:
+            # Report the frames each agent sent, so the master can
+            # drain exactly that many before it scores the run.
+            pipe.send(("done", done, {
+                agent_id: endpoint.frames_dispatched
+                for agent_id, endpoint in agents}))
             # Keep the TCP connections open until the master has
             # drained everything in flight and says stop.
             while True:

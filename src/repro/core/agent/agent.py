@@ -107,6 +107,7 @@ class FlexRanAgent:
         self._last_hello_tti = -(10 ** 9)
         self._xid = 0
         self.processing_time_s = 0.0
+        self._span_args = {"agent": agent_id}
         self.messages_handled = 0
         #: Messages dropped because no handler is registered for them.
         self.dispatch_unknown = 0
@@ -181,18 +182,6 @@ class FlexRanAgent:
 
     def tick_tx(self, now: int) -> None:
         """AGENT_TX phase: hello, sync, due reports, queued events."""
-        ob = _obs.get()
-        if ob.enabled:
-            before = self.processing_time_s
-            with ob.tracer.span("agent", "tick_tx", tti=now,
-                                agent=self.agent_id):
-                self._tick_tx(now)
-            ob.registry.histogram("agent.tick_us").observe(
-                (self.processing_time_s - before) * 1e6)
-        else:
-            self._tick_tx(now)
-
-    def _tick_tx(self, now: int) -> None:
         start = time.perf_counter()
         if self.connection is not None and not self.connection.before_tx(now):
             # Disconnected: the supervisor owns the channel (probes on
@@ -200,7 +189,7 @@ class FlexRanAgent:
             # bound the event queue until the master is reachable again.
             if len(self._event_queue) > EVENT_QUEUE_LIMIT:
                 self._event_queue = self._event_queue[-EVENT_QUEUE_LIMIT:]
-            self.processing_time_s += time.perf_counter() - start
+            self._account(start, now, "tick_tx")
             return
         if self.endpoint is not None and self._hello_due(now):
             self._send(Hello(header=Header(xid=self._next_xid()),
@@ -218,7 +207,7 @@ class FlexRanAgent:
         events, self._event_queue = self._event_queue, []
         for event in events:
             self._send(event, now)
-        self.processing_time_s += time.perf_counter() - start
+        self._account(start, now, "tick_tx")
 
     # -- inbound ----------------------------------------------------------
 
@@ -226,24 +215,20 @@ class FlexRanAgent:
         """AGENT_RX phase: dispatch every received protocol message."""
         if self.endpoint is None:
             return
-        ob = _obs.get()
-        if ob.enabled:
-            before = self.processing_time_s
-            with ob.tracer.span("agent", "tick_rx", tti=now,
-                                agent=self.agent_id):
-                self._tick_rx(now)
-            ob.registry.histogram("agent.tick_us").observe(
-                (self.processing_time_s - before) * 1e6)
-        else:
-            self._tick_rx(now)
-
-    def _tick_rx(self, now: int) -> None:
         start = time.perf_counter()
         for message in self.endpoint.receive(now=now):
             if self.connection is not None:
                 self.connection.heard(now)
             self.dispatch(message, now)
-        self.processing_time_s += time.perf_counter() - start
+        self._account(start, now, "tick_rx")
+
+    def _account(self, start: float, now: int, span: str) -> None:
+        """Charge one tick to ``processing_time_s`` and obs."""
+        end = time.perf_counter()
+        self.processing_time_s += end - start
+        ob = _obs.get()
+        ob.tracer.complete("agent", span, start, end, now, self._span_args)
+        ob.registry.histogram("agent.tick_us").observe((end - start) * 1e6)
 
     # -- connection resilience --------------------------------------------
 
@@ -296,34 +281,30 @@ class FlexRanAgent:
         the agent's RX tick -- the control channel stays up.
         """
         ob = _obs.get()
+        msg_type = type(message).__name__
         handler = self._handlers.get(type(message))
         if handler is None:
             self.dispatch_unknown += 1
-            if ob.enabled:
-                ob.registry.counter("agent.dispatch.unknown").inc()
+            ob.registry.counter("agent.dispatch.unknown").inc()
             logger.warning("agent %d: dropping unhandled message type %s",
-                           self.agent_id, type(message).__name__)
+                           self.agent_id, msg_type)
             return
+        start = time.perf_counter()
         try:
-            if ob.enabled:
-                msg_type = type(message).__name__
-                with ob.tracer.span("agent_dispatch", msg_type, tti=now,
-                                    agent=self.agent_id):
-                    handler(message, now)
-                if self.endpoint is not None:
-                    ob.correlator.on_handle(
-                        self.endpoint.peer, self.endpoint.rx_direction,
-                        msg_type, message.header.xid, now)
-            else:
-                handler(message, now)
+            handler(message, now)
         except Exception as exc:  # noqa: BLE001 - the dispatch boundary
             self.dispatch_errors += 1
-            if ob.enabled:
-                ob.registry.counter("agent.dispatch.errors").inc()
+            ob.registry.counter("agent.dispatch.errors").inc()
             logger.error("agent %d: handler for %s failed, message "
-                         "dropped: %r", self.agent_id,
-                         type(message).__name__, exc)
+                         "dropped: %r", self.agent_id, msg_type, exc)
             return
+        finally:
+            ob.tracer.complete("agent_dispatch", msg_type, start,
+                               time.perf_counter(), now, self._span_args)
+        if self.endpoint is not None:
+            ob.correlator.on_handle(
+                self.endpoint.peer, self.endpoint.rx_direction,
+                msg_type, message.header.xid, now)
         self.messages_handled += 1
 
     # -- handlers ---------------------------------------------------------

@@ -210,13 +210,12 @@ class ControlModule(abc.ABC):
         logger.error("module %s: quarantining VSF %s for %s (%s)",
                      self.name, bad, slot.operation, reason)
         ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("survive.vsf.faults").inc()
-            # Name-level counter so the operator "could quickly
-            # identify VSFs that present an unexpected behavior".
-            ob.registry.counter(
-                f"survive.vsf.quarantined.{self.name}"
-                f".{slot.operation}.{bad}").inc()
+        ob.registry.counter("survive.vsf.faults").inc()
+        # Name-level counter so the operator "could quickly identify
+        # VSFs that present an unexpected behavior".
+        ob.registry.counter(
+            f"survive.vsf.quarantined.{self.name}"
+            f".{slot.operation}.{bad}").inc()
         # Rollback preference: the last VSF known to have completed a
         # clean sandboxed invocation, then the designated fallback,
         # then any other cached implementation.
@@ -237,8 +236,7 @@ class ControlModule(abc.ABC):
         if slot.last_good_name == bad:
             slot.last_good_name = None
         self.activate(slot.operation, fallback)
-        if ob.enabled:
-            ob.registry.counter("survive.vsf.rollbacks").inc()
+        ob.registry.counter("survive.vsf.rollbacks").inc()
         for fn in list(self._fault_observers):
             fn(slot.operation, bad, reason)
 

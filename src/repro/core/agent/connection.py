@@ -138,9 +138,8 @@ class ConnectionSupervisor:
             if self._on_reconnect is not None:
                 self._on_reconnect(now)
             ob = _obs.get()
-            if ob.enabled:
-                ob.registry.counter("agent.connection.reconnects").inc()
-                ob.tracer.instant("agent", "reconnected", tti=now)
+            ob.registry.counter("agent.connection.reconnects").inc()
+            ob.tracer.instant("agent", "reconnected", tti=now)
 
     def before_tx(self, now: int) -> bool:
         """Run the per-TTI liveness logic; returns whether normal
@@ -184,10 +183,9 @@ class ConnectionSupervisor:
         logger.warning("agent connection: master silent for %d TTIs, "
                        "falling back to local control", silent)
         ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("agent.connection.disconnects").inc()
-            ob.tracer.instant("agent", "disconnected", tti=now,
-                              silent_ttis=silent)
+        ob.registry.counter("agent.connection.disconnects").inc()
+        ob.tracer.instant("agent", "disconnected", tti=now,
+                          silent_ttis=silent)
         if self._on_disconnect is not None:
             self._on_disconnect(now)
 

@@ -197,16 +197,11 @@ class MasterController:
 
     def tick(self, now: int) -> None:
         """MASTER phase: run one Task Manager cycle."""
-        ob = _obs.get()
         start = time.perf_counter()
         self.now = now
-        if ob.enabled:
-            with ob.tracer.span("master", "tick", tti=now):
-                self.task_manager.cycle(now, self._drain_agents,
-                                        self.northbound)
-        else:
-            self.task_manager.cycle(now, self._drain_agents,
-                                    self.northbound)
+        self.task_manager.cycle(now, self._drain_agents, self.northbound)
+        _obs.get().tracer.complete("master", "tick", start,
+                                   time.perf_counter(), now)
         if self.checkpoints is not None and now > 0:
             self.checkpoints.maybe_take(self, now)
         if self._cycle_hooks:
@@ -234,18 +229,17 @@ class MasterController:
                 self.updater.apply_batch(agent_id, messages, self.now))
             for message in messages:
                 self._react(agent_id, message)
-                if ob.enabled:
-                    # Final lifecycle stage of an uplink message: the
-                    # RIB updater and protocol reactions are done.
+            if ob.enabled:
+                # Final lifecycle stage of an uplink message: the RIB
+                # updater and protocol reactions are done.
+                for message in messages:
                     ob.correlator.on_handle(
                         endpoint.peer, endpoint.rx_direction,
                         type(message).__name__, message.header.xid,
                         self.now)
         if gathered:
             self.events.enqueue(gathered)
-        if ob.enabled:
-            ob.registry.gauge("master.rib_updater.drained_messages").set(
-                drained)
+        ob.registry.gauge("master.rib_updater.drained_messages").set(drained)
         self._check_liveness()
 
     # -- liveness -----------------------------------------------------------
@@ -360,9 +354,7 @@ class MasterController:
             asked += 1
         logger.warning("master: resync after restart -- re-requested "
                        "config from %d agents", asked)
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("survive.restore.resyncs").inc()
+        _obs.get().registry.counter("survive.restore.resyncs").inc()
         return asked
 
     def _react(self, agent_id: int, message: FlexRanMessage) -> None:

@@ -68,8 +68,8 @@ class RibUpdater:
             return []
         self.counters.messages += len(messages)
         ob = _obs.get()
+        ob.registry.counter("master.rib.messages").inc(len(messages))
         if ob.enabled:
-            ob.registry.counter("master.rib.messages").inc(len(messages))
             for message in messages:
                 ob.registry.counter(
                     "master.rib.by_type."

@@ -172,36 +172,28 @@ class TaskManager:
     def cycle(self, tti: int, drain_fn: Callable[[], None],
               nb: "NorthboundApi") -> CycleRecord:
         """Execute one TTI cycle: updater slot, then application slot."""
-        ob = _obs.get()
         start = time.perf_counter()
-        if ob.enabled:
-            # RIB Updater: the only RIB writer, alone in its slot.
-            with ob.tracer.span("task_manager", "rib_updater", tti=tti):
-                drain_fn()
-        else:
-            drain_fn()
+        # RIB Updater: the only RIB writer, alone in its slot.
+        drain_fn()
         core_end = time.perf_counter()
+        apps_run, apps_deferred, apps_quarantined = self._app_slot(
+            tti, nb, core_end)
+        app_end = time.perf_counter()
         core_ms = (core_end - start) * 1000.0
+        app_ms = (app_end - core_end) * 1000.0
 
-        if ob.enabled:
-            with ob.tracer.span("task_manager", "apps", tti=tti):
-                apps_run, apps_deferred, apps_quarantined = self._app_slot(
-                    tti, nb, core_end)
-        else:
-            apps_run, apps_deferred, apps_quarantined = self._app_slot(
-                tti, nb, core_end)
-        app_ms = (time.perf_counter() - core_end) * 1000.0
-
-        if ob.enabled:
-            registry = ob.registry
-            registry.histogram("master.cycle.core_ms").observe(core_ms)
-            registry.histogram("master.cycle.app_ms").observe(app_ms)
-            if apps_deferred:
-                registry.counter("master.cycle.apps_deferred").inc(
-                    apps_deferred)
-            if apps_quarantined:
-                registry.counter("master.cycle.apps_quarantined").inc(
-                    apps_quarantined)
+        ob = _obs.get()
+        ob.tracer.complete("task_manager", "rib_updater", start, core_end,
+                           tti)
+        ob.tracer.complete("task_manager", "apps", core_end, app_end, tti)
+        registry = ob.registry
+        registry.histogram("master.cycle.core_ms").observe(core_ms)
+        registry.histogram("master.cycle.app_ms").observe(app_ms)
+        if apps_deferred:
+            registry.counter("master.cycle.apps_deferred").inc(apps_deferred)
+        if apps_quarantined:
+            registry.counter("master.cycle.apps_quarantined").inc(
+                apps_quarantined)
 
         used_ms = core_ms + app_ms
         record = CycleRecord(

@@ -150,9 +150,7 @@ class AppSupervisor:
         h._transition(BreakerState.PROBATION, tti)
         h.probation_left = self.policy.probation_runs
         h.readmissions += 1
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("survive.app.readmissions").inc()
+        _obs.get().registry.counter("survive.app.readmissions").inc()
         logger.info("supervisor: app %s re-admitted on probation at "
                     "tti %d (%d clean runs to close)", name, tti,
                     h.probation_left)
@@ -178,19 +176,16 @@ class AppSupervisor:
         except Exception as exc:  # noqa: BLE001 - the app fault boundary
             h.crashes += 1
             self.faults_contained += 1
-            ob = _obs.get()
-            if ob.enabled:
-                ob.registry.counter("survive.app.crashes").inc()
-                ob.registry.counter("survive.app.crashes." + name).inc()
+            registry = _obs.get().registry
+            registry.counter("survive.app.crashes").inc()
+            registry.counter("survive.app.crashes." + name).inc()
             self._fault(h, tti, kind, f"exception: {exc!r}")
             return False
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         if budget is not None and elapsed_ms > budget:
             h.overruns += 1
             h.overrun_streak += 1
-            ob = _obs.get()
-            if ob.enabled:
-                ob.registry.counter("survive.app.overruns").inc()
+            _obs.get().registry.counter("survive.app.overruns").inc()
             if h.overrun_streak >= self.policy.max_overrun_streak:
                 self._fault(
                     h, tti, kind,
@@ -210,9 +205,7 @@ class AppSupervisor:
             h.probation_left -= 1
             if h.probation_left <= 0:
                 h._transition(BreakerState.CLOSED, tti)
-                ob = _obs.get()
-                if ob.enabled:
-                    ob.registry.counter("survive.app.closed").inc()
+                _obs.get().registry.counter("survive.app.closed").inc()
                 logger.info("supervisor: app %s closed its breaker at "
                             "tti %d (probation passed)", h.name, tti)
 
@@ -221,10 +214,9 @@ class AppSupervisor:
         h.consecutive_faults += 1
         h.last_fault = reason
         h.faults_by_kind[kind] = h.faults_by_kind.get(kind, 0) + 1
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("survive.app.faults").inc()
-            ob.registry.counter("survive.app.faults." + h.name).inc()
+        registry = _obs.get().registry
+        registry.counter("survive.app.faults").inc()
+        registry.counter("survive.app.faults." + h.name).inc()
         logger.warning("supervisor: app %s fault (%s pattern) at tti %d: "
                        "%s", h.name, kind, tti, reason)
         if h.state is BreakerState.PROBATION:
@@ -244,12 +236,11 @@ class AppSupervisor:
         h.overrun_streak = 0
         h.probation_left = 0
         h._transition(BreakerState.QUARANTINED, tti)
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("survive.app.quarantines").inc()
-            ob.registry.counter("survive.app.quarantines." + h.name).inc()
-            ob.registry.gauge("survive.app.quarantined_now").set(
-                len(self.quarantined_names()))
+        registry = _obs.get().registry
+        registry.counter("survive.app.quarantines").inc()
+        registry.counter("survive.app.quarantines." + h.name).inc()
+        registry.gauge("survive.app.quarantined_now").set(
+            len(self.quarantined_names()))
         logger.error("supervisor: app %s QUARANTINED at tti %d for %d "
                      "TTIs (%s)", h.name, tti, h.cooldown_ttis,
                      h.last_fault)

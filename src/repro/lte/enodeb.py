@@ -162,6 +162,7 @@ class EnodeB:
         self._observers: List[Callable[[EnbEvent], None]] = []
         self.counters = MacCounters()
         self.processing_time_s = 0.0
+        self._span_args = {"enb": enb_id}
 
         #: Whether :meth:`build_context` uses the columnar fast path.
         #: Columns are maintained regardless, so this may be toggled
@@ -482,17 +483,6 @@ class EnodeB:
 
     def plan(self, tti: int) -> None:
         """Pass 1: feedback, RRC, CQI refresh, run schedulers."""
-        ob = _obs.get()
-        if ob.enabled:
-            before = self.processing_time_s
-            with ob.tracer.span("enb", "plan", tti=tti, enb=self.enb_id):
-                self._plan(tti)
-            ob.registry.histogram("enb.plan_us").observe(
-                (self.processing_time_s - before) * 1e6)
-        else:
-            self._plan(tti)
-
-    def _plan(self, tti: int) -> None:
         start = time.perf_counter()
         self._process_feedback(tti)
         self._advance_rrc(tti)
@@ -511,7 +501,7 @@ class EnodeB:
             self.last_prbs_ul[cell_id] = sum(g.n_prb for g in grants)
             cell.mark_transmission(tti, bool(assignments))
         self.last_plan_tti = tti
-        self.processing_time_s += time.perf_counter() - start
+        self._account(start, tti, "plan", "enb.plan_us")
 
     def planned_cell_ids(self, tti: int) -> List[int]:
         """Cells that received a scheduler decision at *tti*.
@@ -525,25 +515,22 @@ class EnodeB:
 
     def transmit(self, tti: int) -> None:
         """Pass 2: apply the plan against the actual channel."""
-        ob = _obs.get()
-        if ob.enabled:
-            before = self.processing_time_s
-            with ob.tracer.span("enb", "transmit", tti=tti,
-                                enb=self.enb_id):
-                self._transmit_pass(tti)
-            ob.registry.histogram("enb.transmit_us").observe(
-                (self.processing_time_s - before) * 1e6)
-        else:
-            self._transmit_pass(tti)
-
-    def _transmit_pass(self, tti: int) -> None:
         start = time.perf_counter()
         for cell_id in self.cells:
             for assignment in self._plan_dl.get(cell_id, []):
                 self._transmit_dl(cell_id, assignment, tti)
             for grant in self._plan_ul.get(cell_id, []):
                 self._transmit_ul(cell_id, grant, tti)
-        self.processing_time_s += time.perf_counter() - start
+        self._account(start, tti, "transmit", "enb.transmit_us")
+
+    def _account(self, start: float, tti: int, span: str,
+                 histogram: str) -> None:
+        """Charge one engine pass to ``processing_time_s`` and obs."""
+        end = time.perf_counter()
+        self.processing_time_s += end - start
+        ob = _obs.get()
+        ob.tracer.complete("enb", span, start, end, tti, self._span_args)
+        ob.registry.histogram(histogram).observe((end - start) * 1e6)
 
     def tick(self, tti: int) -> None:
         """Single-eNodeB convenience: plan then transmit."""

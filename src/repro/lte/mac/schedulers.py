@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_left
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import obs as _obs
@@ -53,9 +54,7 @@ def prbs_for_queue(cqi: int, queue_bytes: int) -> int:
         return 0
     table = _queue_thresholds.get(cqi)
     if table is not None and queue_bytes <= table[-1]:
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("mac.sched.prb_cache.hits").inc()
+        _obs.get().registry.counter("mac.sched.prb_cache.hits").inc()
         return bisect_left(table, queue_bytes) + 1
     # Miss: compute exactly (this also validates the CQI), then extend
     # the table so every smaller queue level is a future hit.
@@ -67,9 +66,7 @@ def prbs_for_queue(cqi: int, queue_bytes: int) -> int:
         while len(table) < n:
             table.append(
                 transport_block_bits(cqi, len(table) + 1) // 8 - header_room)
-    ob = _obs.get()
-    if ob.enabled:
-        ob.registry.counter("mac.sched.prb_cache.misses").inc()
+    _obs.get().registry.counter("mac.sched.prb_cache.misses").inc()
     return n
 
 
@@ -98,12 +95,11 @@ class Scheduler(abc.ABC):
         """Produce this TTI's downlink allocation."""
 
     def __call__(self, ctx: SchedulingContext) -> List[DlAssignment]:
+        start = perf_counter()
+        out = self.schedule(ctx)
         ob = _obs.get()
-        if not ob.enabled:
-            return self.schedule(ctx)
-        with ob.tracer.span("scheduler", self.name, tti=ctx.tti,
-                            cell=ctx.cell_id):
-            out = self.schedule(ctx)
+        ob.tracer.complete("scheduler", self.name, start, perf_counter(),
+                           ctx.tti, {"cell": ctx.cell_id})
         ob.registry.counter("mac.sched.runs").inc()
         if out:
             ob.registry.counter("mac.sched.assignments").inc(len(out))

@@ -345,9 +345,8 @@ class NorthboundServer:
         waker = asyncio.Event()
         self._wakers[sub.sub_id] = waker
         self.streams_opened += 1
-        ob = _obs.get()
-        histogram = (ob.registry.histogram(
-            f"nb.fanout.latency_ms.{sub.kind}") if ob.enabled else None)
+        histogram = _obs.get().registry.histogram(
+            f"nb.fanout.latency_ms.{sub.kind}")
         head = ("HTTP/1.1 200 OK\r\n"
                 f"Content-Type: {encoders.CONTENT_TYPES[request.mode]}\r\n"
                 "Cache-Control: no-store\r\n"
@@ -364,9 +363,8 @@ class NorthboundServer:
                         payload, stamp = queue.popleft()
                     except IndexError:
                         break
-                    if histogram is not None:
-                        histogram.observe(
-                            (time.perf_counter() - stamp) * 1000.0)
+                    histogram.observe(
+                        (time.perf_counter() - stamp) * 1000.0)
                     writer.write(frame(payload))
                     sub.delivered += 1
                     wrote = True

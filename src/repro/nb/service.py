@@ -195,7 +195,6 @@ class NorthboundService:
 
     def _pump(self, tti: int) -> None:
         """Cycle hook: run queued commands, sample streams, flush wakes."""
-        ob = _obs.get()
         if self._commands:
             with self._commands_lock:
                 batch = list(self._commands)
@@ -207,8 +206,8 @@ class NorthboundService:
                 except Exception as exc:  # noqa: BLE001 - ticket boundary
                     self.commands_failed += 1
                     ticket.reject(exc)
-            if ob.enabled:
-                ob.registry.counter("nb.commands.executed").inc(len(batch))
+            _obs.get().registry.counter("nb.commands.executed").inc(
+                len(batch))
         self._sample_streams(tti)
         if self._woken:
             woken, self._woken = self._woken, []

@@ -147,9 +147,8 @@ class SubscriptionTable:
             self._next_id += 1
             self._subs[sub.sub_id] = sub
             self._reindex()
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.gauge("nb.subscriptions.active").set(len(self._subs))
+        _obs.get().registry.gauge("nb.subscriptions.active").set(
+            len(self._subs))
         return sub
 
     def unsubscribe(self, sub_id: int) -> bool:
@@ -160,9 +159,8 @@ class SubscriptionTable:
                 return False
             sub.closed = True
             self._reindex()
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.gauge("nb.subscriptions.active").set(len(self._subs))
+        _obs.get().registry.gauge("nb.subscriptions.active").set(
+            len(self._subs))
         return True
 
     def _reindex(self) -> None:
@@ -235,9 +233,8 @@ class SubscriptionTable:
         if len(queue) == queue.maxlen:
             # deque(maxlen) evicts the oldest on append: slow consumer.
             sub.drops += 1
-            ob = _obs.get()
-            if ob.enabled:
-                ob.registry.counter(f"nb.fanout.dropped.{sub.kind}").inc()
+            _obs.get().registry.counter(
+                f"nb.fanout.dropped.{sub.kind}").inc()
         queue.append((payload, stamp))
         sub.published += 1
         # Every append guarantees a wake in this flush cycle (the

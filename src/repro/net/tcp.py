@@ -44,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import threading
+import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -64,6 +65,10 @@ DEFAULT_SEND_QUEUE_FRAMES = 1024
 SEND_BLOCK_TIMEOUT_S = 30.0
 """How long a producer may block on a full send queue before the
 connection is declared wedged."""
+
+CLOSE_POLL_S = 0.05
+"""How often :meth:`TcpEndpoint.wait_parsed` re-checks for a closed
+connection while it waits for frames."""
 
 
 class TransportClosed(RuntimeError):
@@ -276,11 +281,15 @@ class _SocketPeer:
 
     # -- producer side (any thread) ---------------------------------------
 
-    def send_body(self, body: bytes) -> None:
+    def send_body(self, body: bytes) -> bool:
         """Enqueue one already-enveloped blob; blocks when the queue is
-        full until the writer task frees a slot (backpressure)."""
+        full until the writer task frees a slot (backpressure).
+
+        Returns False, and drops the blob, once the connection has
+        closed: like a failed link, a lost peer takes nothing more.
+        """
         if self.closed.is_set():
-            raise TransportClosed(f"{self.label}: connection closed")
+            return False
         if not self._slots.acquire(blocking=False):
             self.backpressure_waits += 1
             if not self._slots.acquire(timeout=SEND_BLOCK_TIMEOUT_S):
@@ -292,6 +301,7 @@ class _SocketPeer:
         except RuntimeError:
             self._slots.release()
             raise TransportClosed(f"{self.label}: transport stopped") from None
+        return True
 
     def _enqueue(self, body: bytes) -> None:
         self._pending.append(body)
@@ -413,6 +423,8 @@ class TcpEndpoint(ProtocolEndpoint):
         still holding (latency not elapsed), dropped (loss, down link)
         or that it discarded in flight (partition) never touch the
         socket -- identical loss semantics to the emulated transport.
+        A closed connection drops its frames too; the endpoint's owner
+        notices the loss through :attr:`connected`.
         """
         frames = self._outbound.deliver_due(now)
         if not frames:
@@ -420,10 +432,10 @@ class TcpEndpoint(ProtocolEndpoint):
         sock = self._sock
         if sock is None:
             raise TransportClosed(f"{self.peer}: endpoint has no socket")
-        for frame in frames:
-            sock.send_body(encode_envelope(now, frame))
-        self.frames_dispatched += len(frames)
-        return len(frames)
+        sent = sum(sock.send_body(encode_envelope(now, frame))
+                   for frame in frames)
+        self.frames_dispatched += sent
+        return sent
 
     # -- receive path ------------------------------------------------------
 
@@ -444,14 +456,25 @@ class TcpEndpoint(ProtocolEndpoint):
         return self._decode_frames(frames, now)
 
     def wait_parsed(self, target: int, *, timeout: float = 10.0) -> None:
-        """Block until this endpoint has parsed >= *target* frames."""
+        """Block until this endpoint has parsed >= *target* frames.
+
+        Raises :class:`TransportClosed` with the count mismatch if the
+        connection closes first or *timeout* seconds pass.
+        """
+        deadline = time.monotonic() + timeout
         with self._arrived:
-            ok = self._arrived.wait_for(
-                lambda: self.frames_parsed >= target, timeout)
-        if not ok:
-            raise TransportClosed(
-                f"{self.peer}: peer delivered {self.frames_parsed}/"
-                f"{target} frames within {timeout:.0f}s")
+            while self.frames_parsed < target:
+                left = deadline - time.monotonic()
+                closed = (self._sock is not None
+                          and self._sock.closed.is_set())
+                if left <= 0 or closed:
+                    raise TransportClosed(
+                        f"{self.peer}: peer delivered {self.frames_parsed}/"
+                        f"{target} frames before "
+                        + ("the connection closed" if closed
+                           else f"the {timeout:.0f}s timeout"))
+                # Closing does not notify: re-check it now and then.
+                self._arrived.wait(min(left, CLOSE_POLL_S))
 
     def pending_frames(self) -> int:
         """Parsed frames still waiting for their deliver TTI."""

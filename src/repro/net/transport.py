@@ -6,7 +6,7 @@ sides of a connection exchange *encoded frames* over a
 on every message, so byte accounting and parse correctness are
 exercised continuously, not just in unit tests.
 
-Endpoints are observability hooks: when ``repro.obs`` is enabled they
+Endpoints are observability hooks: with ``repro.obs`` enabled they
 report every message's ``enqueue`` and ``wire`` (send side) and
 ``deliver`` (receive side) lifecycle stages to the xid correlator,
 trace each send as a ``transport`` span, and count bytes/messages per
@@ -16,6 +16,7 @@ direction.  The dispatchers (agent, master) report the final
 
 from __future__ import annotations
 
+import time
 from typing import List
 
 from repro import obs as _obs
@@ -40,25 +41,22 @@ class ProtocolEndpoint:
         self.peer = peer
         self.tx_direction = tx_direction
         self.rx_direction = rx_direction
+        self._span_args = {"peer": peer, "direction": tx_direction}
         self.sent_messages = 0
         self.received_messages = 0
 
     def send(self, message: FlexRanMessage, *, now: int) -> int:
         """Serialize and transmit; returns the frame size in bytes."""
-        ob = _obs.get()
-        if not ob.enabled:
-            frame = codec.encode(message)
-            self._outbound.send(frame, len(frame), now=now,
-                                category=message.CATEGORY)
-            self.sent_messages += 1
-            return len(frame)
-        msg_type = type(message).__name__
-        with ob.tracer.span("transport", f"send:{msg_type}", tti=now,
-                            peer=self.peer, direction=self.tx_direction):
-            frame = codec.encode(message)
-            deliver_tti = self._outbound.send(frame, len(frame), now=now,
-                                              category=message.CATEGORY)
+        start = time.perf_counter()
+        frame = codec.encode(message)
+        deliver_tti = self._outbound.send(frame, len(frame), now=now,
+                                          category=message.CATEGORY)
+        end = time.perf_counter()
         self.sent_messages += 1
+        ob = _obs.get()
+        msg_type = type(message).__name__
+        ob.tracer.complete("transport", "send:" + msg_type, start, end, now,
+                           self._span_args)
         xid = message.header.xid
         correlator = ob.correlator
         correlator.on_enqueue(self.peer, self.tx_direction, msg_type,
@@ -92,9 +90,8 @@ class ProtocolEndpoint:
                 correlator.on_deliver(self.peer, self.rx_direction,
                                       type(message).__name__,
                                       message.header.xid, now)
-            ob.registry.counter("net.rx.messages").inc(len(messages))
-            ob.registry.counter("net.rx.bytes").inc(
-                sum(len(frame) for frame in frames))
+        ob.registry.counter("net.rx.messages").inc(len(messages))
+        ob.registry.counter("net.rx.bytes").inc(sum(map(len, frames)))
         return messages
 
 

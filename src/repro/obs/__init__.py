@@ -9,11 +9,13 @@ One process-wide backend bundles the three measurement surfaces:
   records.
 
 Instrumentation sites throughout the platform fetch the current
-backend with :func:`get` and check ``.enabled`` before doing any work;
-while disabled (the default) :func:`get` returns a null backend whose
-instruments are shared no-ops, so the tax on the TTI loop is one
-module-global read and an attribute check per site
-(``benchmarks/bench_obs_overhead.py`` bounds it below 5%).
+backend with :func:`get` and call it unconditionally: while disabled
+(the default) :func:`get` returns a null backend whose instruments are
+shared no-ops, so the null backend is the off switch and each site
+runs one code path whatever the mode.  The tax on the TTI loop is a
+few no-op calls per site (``benchmarks/bench_obs_overhead.py`` bounds
+it below 5%).  ``Observability.enabled`` tells callers which backend
+they hold; only obs-only loops over messages check it.
 
 Typical use::
 
@@ -67,10 +69,6 @@ _current: Observability = _NULL
 def get() -> Observability:
     """The current backend (the null backend while disabled)."""
     return _current
-
-
-def is_enabled() -> bool:
-    return _current.enabled
 
 
 def enable(*, trace: bool = True,

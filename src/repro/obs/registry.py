@@ -162,8 +162,6 @@ class Histogram:
 class MetricsRegistry:
     """Name-keyed store of metric instruments."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
 
@@ -291,8 +289,6 @@ class NullRegistry:
     Every accessor returns the same shared null instrument, so
     instrumentation sites pay one method call and no allocation.
     """
-
-    enabled = False
 
     def counter(self, name: str) -> NullCounter:
         return _NULL_COUNTER

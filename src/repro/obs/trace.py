@@ -27,7 +27,7 @@ MAX_EVENTS = 500_000
 class Span:
     """An open duration event; close it (or use ``with``) to record."""
 
-    __slots__ = ("_recorder", "name", "component", "_start_us", "args")
+    __slots__ = ("_recorder", "name", "component", "_start_s", "args")
 
     def __init__(self, recorder: "TraceRecorder", component: str,
                  name: str, args: Dict[str, object]) -> None:
@@ -35,10 +35,11 @@ class Span:
         self.component = component
         self.name = name
         self.args = args
-        self._start_us = recorder.now_us()
+        self._start_s = time.perf_counter()
 
     def close(self) -> None:
-        self._recorder._finish(self)
+        self._recorder._record(self.component, self.name, self._start_s,
+                               time.perf_counter(), self.args)
 
     def __enter__(self) -> "Span":
         return self
@@ -84,13 +85,25 @@ class TraceRecorder:
             args["tti"] = tti
         return Span(self, component, name, args)
 
-    def _finish(self, span: Span) -> None:
-        end = self.now_us()
+    def complete(self, component: str, name: str, start_s: float,
+                 end_s: float, tti: int,
+                 args: Optional[Dict[str, object]] = None) -> None:
+        """Record an interval the caller timed with ``perf_counter``.
+
+        *args* labels the event besides its TTI; it is copied, so a
+        site may pass the same dict on every call.
+        """
+        event_args = dict(args) if args else {}
+        event_args["tti"] = tti
+        self._record(component, name, start_s, end_s, event_args)
+
+    def _record(self, component: str, name: str, start_s: float,
+                end_s: float, args: Dict[str, object]) -> None:
         self._emit({
-            "name": span.name, "cat": span.component, "ph": "X",
-            "ts": span._start_us, "dur": max(0.0, end - span._start_us),
-            "pid": 0, "tid": self.tid_for(span.component),
-            "args": span.args,
+            "name": name, "cat": component, "ph": "X",
+            "ts": (start_s - self._t0) * 1e6,
+            "dur": max(0.0, (end_s - start_s) * 1e6),
+            "pid": 0, "tid": self.tid_for(component), "args": args,
         })
 
     def instant(self, component: str, name: str, *,
@@ -152,6 +165,10 @@ class NullTraceRecorder:
     def span(self, component: str, name: str, *, tti=None,
              **args) -> _NullSpan:
         return _NULL_SPAN
+
+    def complete(self, component: str, name: str, start_s: float,
+                 end_s: float, tti: int, args=None) -> None:
+        pass
 
     def instant(self, component: str, name: str, *, tti=None,
                 **args) -> None:

@@ -279,20 +279,16 @@ class ChaosHarness:
             desc = action.fire(self.sim, tti)
             if desc:
                 self.fired.append((tti, desc))
-                ob = _obs.get()
-                if ob.enabled:
-                    ob.registry.counter("survive.chaos.actions").inc()
+                _obs.get().registry.counter("survive.chaos.actions").inc()
         self._refresh_baselines()
 
     # -- the checkers -----------------------------------------------------
 
     def _violate(self, tti: int, invariant: str, detail: str) -> None:
         self.violations.append(Violation(tti, invariant, detail))
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("survive.chaos.violations").inc()
-            ob.registry.counter(
-                "survive.chaos.violations." + invariant).inc()
+        registry = _obs.get().registry
+        registry.counter("survive.chaos.violations").inc()
+        registry.counter("survive.chaos.violations." + invariant).inc()
 
     def _check_invariants(self, tti: int) -> None:
         self.checks += 1
@@ -427,8 +423,9 @@ class TcpDisconnectAt(ClusterChaosAction):
     """Drop one shard's TCP data plane while its process stays alive.
 
     Closes the master-side sockets of every agent in the shard; the
-    worker's next frame dispatch raises ``TransportClosed``, which
-    surfaces as a worker-reported ``error`` on the control pipe.
+    worker sees its connections closed after its next run of TTIs and
+    raises ``TransportClosed``, which surfaces as a worker-reported
+    ``error`` on the control pipe.
     """
 
     at_low_water_tti: int
@@ -509,9 +506,7 @@ class ClusterChaosHarness:
             desc = action.fire(runtime, low)
             if desc:
                 self.fired.append((low, desc))
-                ob = _obs.get()
-                if ob.enabled:
-                    ob.registry.counter("cluster.chaos.actions").inc()
+                _obs.get().registry.counter("cluster.chaos.actions").inc()
 
     def check(self, runtime, report) -> ClusterChaosReport:
         """Post-run invariant sweep; violations use the run-end TTI."""
@@ -520,11 +515,9 @@ class ClusterChaosHarness:
 
         def violate(invariant: str, detail: str) -> None:
             violations.append(Violation(end_tti, invariant, detail))
-            ob = _obs.get()
-            if ob.enabled:
-                ob.registry.counter("cluster.chaos.violations").inc()
-                ob.registry.counter(
-                    "cluster.chaos.violations." + invariant).inc()
+            registry = _obs.get().registry
+            registry.counter("cluster.chaos.violations").inc()
+            registry.counter("cluster.chaos.violations." + invariant).inc()
 
         quarantined = set(report.degraded_shards)
         live = [s for s in runtime.shard_map.shards

@@ -1,5 +1,7 @@
 """Tests for the real asyncio TCP transport (repro.net.tcp)."""
 
+import time
+
 import pytest
 
 from repro.core.protocol.messages import (
@@ -13,6 +15,7 @@ from repro.net.tcp import (
     FrameDecoder,
     TcpConnectionFabric,
     TcpControlConnection,
+    TransportClosed,
     decode_envelope,
     encode_envelope,
     encode_varint,
@@ -182,3 +185,32 @@ class TestStreamingMode:
         assert conn.master_side.pending_frames() == 1
         conn.master_side.receive(now=7)
         assert conn.master_side.pending_frames() == 0
+
+    def test_wait_parsed_reports_count_on_timeout(self, fabric):
+        conn = TcpControlConnection(fabric, 1)
+        with pytest.raises(TransportClosed, match="0/1 frames"):
+            conn.master_side.wait_parsed(1, timeout=0.1)
+
+    def test_wait_parsed_stops_when_connection_closes(self, fabric):
+        """A closed connection ends the wait at once, not at the
+        timeout: frames still owed will never arrive."""
+        conn = TcpControlConnection(fabric, 1)
+        conn.agent_side.close()
+        started = time.monotonic()
+        with pytest.raises(TransportClosed, match="connection closed"):
+            conn.master_side.wait_parsed(1, timeout=30.0)
+        assert time.monotonic() - started < 5.0
+
+    def test_send_after_peer_closed_drops_like_a_failed_link(self, fabric):
+        """A master must survive a dead agent's connection: sending on
+        it drops the frame instead of raising, and ``connected`` is the
+        signal its owner reads."""
+        conn = TcpControlConnection(fabric, 1)
+        conn.master_side.streaming = True
+        conn.agent_side.close()
+        deadline = time.monotonic() + 5.0
+        while conn.master_side.connected and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not conn.master_side.connected
+        conn.master_side.send(EchoRequest(header=Header(xid=1)), now=0)
+        assert conn.master_side.frames_dispatched == 0

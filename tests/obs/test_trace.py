@@ -17,6 +17,20 @@ class TestSpans:
         assert event["dur"] >= 0.0
         assert event["args"] == {"tti": 7, "cell": 10}
 
+    def test_complete_records_the_given_interval(self):
+        t = TraceRecorder()
+        start = t._t0 + 0.002
+        labels = {"enb": 3}
+        t.complete("enb", "plan", start, start + 0.0005, 9, labels)
+        t.complete("master", "tick", start, start, 9)
+        plan, tick = t.events
+        assert plan["ph"] == "X" and plan["cat"] == "enb"
+        assert abs(plan["ts"] - 2000.0) < 1e-6
+        assert abs(plan["dur"] - 500.0) < 1e-6
+        assert plan["args"] == {"enb": 3, "tti": 9}
+        assert labels == {"enb": 3}  # the site's dict is not kept
+        assert tick["args"] == {"tti": 9} and tick["dur"] == 0.0
+
     def test_tid_stable_per_component(self):
         t = TraceRecorder()
         with t.span("a", "x"):
@@ -81,6 +95,7 @@ class TestNullRecorder:
         with span:
             pass
         t.instant("a", "c")
+        t.complete("a", "d", 0.0, 1.0, 1, {"x": 1})
         assert t.events == ()
         assert t.components() == []
         assert t.to_chrome()["traceEvents"] == []

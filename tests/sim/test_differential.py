@@ -8,8 +8,16 @@ downlink assignments and uplink grants on every TTI, and asserts the
 two runs are *decision-for-decision identical* (plus identical
 delivered-byte, HARQ and DRX end state).  Any divergence means the
 column store's invalidation missed a scheduler-visible input.
+
+The same scenarios also pin obs neutrality: a run with every
+observability backend on (``obs.enabled_scope()``) must make the same
+decisions and reach the same end state as a run with obs disabled --
+instrumentation only watches the work, it never changes it.
 """
 
+from contextlib import nullcontext
+
+from repro import obs
 from repro.lte.mac.drx import DrxConfig
 from repro.net.clock import Phase
 from repro.sim.scenarios import (
@@ -65,17 +73,21 @@ def _end_state(enbs):
     return state
 
 
-def _run(build, ttis, columnar):
-    sim, enbs = build()
-    for enb in enbs:
-        enb.columnar = columnar
-    log = _attach_recorder(sim, enbs)
-    try:
-        sim.run(ttis)
-        return log, _end_state(enbs)
-    finally:
-        if hasattr(sim, "close"):
-            sim.close()
+def _run(build, ttis, *, columnar=True, observed=False, realtime=True):
+    with obs.enabled_scope() if observed else nullcontext():
+        sim, enbs = build()
+        for enb in enbs:
+            enb.columnar = columnar
+        if not realtime and sim.master is not None:
+            sim.master._config["realtime"] = False
+            sim.master.task_manager.realtime = False
+        log = _attach_recorder(sim, enbs)
+        try:
+            sim.run(ttis)
+            return log, _end_state(enbs)
+        finally:
+            if hasattr(sim, "close"):
+                sim.close()
 
 
 def assert_differential(build, ttis):
@@ -84,6 +96,13 @@ def assert_differential(build, ttis):
     assert col_log, "scenario produced no scheduling decisions"
     assert col_log == obj_log
     assert col_state == obj_state
+    # Obs neutrality.  Both runs use a non-realtime master: obs slows
+    # the cycle, and realtime app deferral follows the wall clock.
+    plain_log, plain_state = _run(build, ttis, realtime=False)
+    seen_log, seen_state = _run(build, ttis, observed=True, realtime=False)
+    assert plain_log, "scenario produced no scheduling decisions"
+    assert plain_log == seen_log
+    assert plain_state == seen_state
 
 
 class TestDifferentialFingerprints:
